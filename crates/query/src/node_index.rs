@@ -24,9 +24,12 @@
 //!
 //! A query is then O(probe + result): one array index, then exactly the
 //! row accesses its answer needs. Deadline and quarantine guards are
-//! enforced per fetch exactly as on the cache path, and every mmap
-//! access keeps the typed-corruption guarantee (a damaged page surfaces
-//! as [`StorageError::CorruptPage`], never as wrong rows).
+//! enforced per fetch exactly as on the cache path; while nothing is
+//! quarantined, the serving layer's quarantine check is one atomic load
+//! — no lock, no allocation — so the guard adds no shared state to the
+//! per-row cost. Every mmap access keeps the typed-corruption guarantee
+//! (a damaged page surfaces as [`StorageError::CorruptPage`], never as
+//! wrong rows).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -154,7 +157,6 @@ impl MmapNodeIndex {
     /// Resolve the node's NT and CAT sources into `out` (the mmap
     /// counterpart of `resolve::scan_nt_cat`).
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_nt_cat(
         &self,
         env: &ResolveEnv<'_>,
@@ -173,7 +175,7 @@ impl MmapNodeIndex {
         let fact_rpp = self.fact.rows_per_page() as u64;
 
         if let Some(nt) = &src.nt {
-            let rs = nt.schema().clone();
+            let rs = nt.schema();
             let w = rs.row_width();
             let arity = if env.meta.dr { env.coder.grouping_arity(levels) } else { 0 };
             for p in 0..nt.num_pages() {
@@ -218,12 +220,12 @@ impl MmapNodeIndex {
                 .aggregates
                 .as_ref()
                 .ok_or_else(|| CubeError::Schema("CAT rows but no AGGREGATES relation".into()))?;
-            let ags = aggregates.schema().clone();
-            let agg_name = aggregates.relation_name().to_string();
+            let ags = aggregates.schema();
+            let agg_name = aggregates.relation_name();
             let agg_rpp = aggregates.rows_per_page() as u64;
             for &(rowid_opt, a_rowid) in &src.cat_refs {
                 check_deadline(guard)?;
-                check_quarantine(guard, &agg_name, a_rowid, agg_rpp)?;
+                check_quarantine(guard, agg_name, a_rowid, agg_rpp)?;
                 stats.count_agg_fetch();
                 let t = timed.then(Instant::now);
                 let agg_row = aggregates.row(a_rowid)?;

@@ -20,6 +20,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use cure_query::PageQuarantine;
@@ -147,7 +148,12 @@ impl RelationBreakers {
         }
         let mut map = self.breakers.lock();
         Self::prune_locked(&mut map, self.cfg.breaker_idle_ttl);
-        let b = map.entry(relation.to_string()).or_insert_with(Breaker::new);
+        let Some(b) = map.get_mut(relation) else {
+            // First sight: the only call that builds an owned key. A new
+            // breaker starts closed, so it admits.
+            map.insert(relation.to_string(), Breaker::new());
+            return true;
+        };
         let now = Instant::now();
         b.last_touched = now;
         match b.state {
@@ -279,9 +285,20 @@ impl RelationBreakers {
 
 /// The corrupt-page quarantine: `(relation, page)` pairs that failed
 /// verification, consulted before every guarded fetch.
+///
+/// The clean path — nothing quarantined, as in normal serving — costs
+/// one atomic load: no lock, no allocation. Once a page is quarantined,
+/// lookups take the lock and hash the borrowed relation name, so an
+/// incident never puts an allocation on every fetched row. A reader
+/// racing an `insert` may miss the new entry, exactly as when it won the
+/// lock first; anything ordered after `insert` returns sees the page.
 #[derive(Debug, Default)]
 pub struct QuarantineSet {
-    set: Mutex<HashSet<(String, u64)>>,
+    /// Quarantined pages, keyed per relation so lookups borrow `&str`.
+    pages: Mutex<HashMap<String, HashSet<u64>>>,
+    /// Number of pages in `pages`, stored under its lock (Release) on
+    /// every insert and remove.
+    len: AtomicUsize,
 }
 
 impl QuarantineSet {
@@ -292,33 +309,63 @@ impl QuarantineSet {
 
     /// Add a page; returns `false` if it was already quarantined.
     pub fn insert(&self, relation: &str, page: u64) -> bool {
-        self.set.lock().insert((relation.to_string(), page))
+        let mut pages = self.pages.lock();
+        let added = match pages.get_mut(relation) {
+            Some(set) => set.insert(page),
+            None => {
+                pages.insert(relation.to_string(), HashSet::from([page]));
+                true
+            }
+        };
+        if added {
+            self.len.fetch_add(1, Ordering::Release);
+        }
+        added
     }
 
     /// Release a page (after successful repair); returns whether it was
     /// present.
     pub fn remove(&self, relation: &str, page: u64) -> bool {
-        self.set.lock().remove(&(relation.to_string(), page))
+        let mut pages = self.pages.lock();
+        let Some(set) = pages.get_mut(relation) else {
+            return false;
+        };
+        if !set.remove(&page) {
+            return false;
+        }
+        if set.is_empty() {
+            pages.remove(relation);
+        }
+        self.len.fetch_sub(1, Ordering::Release);
+        true
     }
 
     /// Whether a page is currently quarantined.
     pub fn contains(&self, relation: &str, page: u64) -> bool {
-        self.set.lock().contains(&(relation.to_string(), page))
+        if self.len.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        self.pages.lock().get(relation).is_some_and(|set| set.contains(&page))
     }
 
     /// Number of quarantined pages.
     pub fn len(&self) -> usize {
-        self.set.lock().len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// Whether the quarantine is empty.
     pub fn is_empty(&self) -> bool {
-        self.set.lock().is_empty()
+        self.len() == 0
     }
 
     /// Snapshot of the quarantined pages (sorted, for stable output).
     pub fn entries(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<_> = self.set.lock().iter().cloned().collect();
+        let mut v: Vec<_> = self
+            .pages
+            .lock()
+            .iter()
+            .flat_map(|(rel, set)| set.iter().map(move |&page| (rel.clone(), page)))
+            .collect();
         v.sort();
         v
     }
@@ -525,5 +572,74 @@ mod tests {
         assert!(q.remove("fact", 3));
         assert!(!q.remove("fact", 3));
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn readers_see_every_insert_they_are_ordered_after() {
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+
+        // Readers spin on `contains` while one writer quarantines pages
+        // (alternating relations) and then releases them all. A reader
+        // that observes the writer's publication of page `r` must see
+        // `r` quarantined; once the writer publishes the last removal,
+        // the set must read empty everywhere. Removals start only after
+        // every reader has checked every insert.
+        const READERS: usize = 2;
+        const PAGES: u64 = 200;
+        let rel = |page: u64| if page.is_multiple_of(2) { "fact" } else { "aggregates" };
+        let q = QuarantineSet::new();
+        let published = AtomicU64::new(0);
+        let caught_up = AtomicUsize::new(0);
+        let cleared = AtomicBool::new(false);
+        // The writer never panics inside the scope (a reader would spin
+        // forever), and stops waiting on a reader that ended early (it
+        // panicked; the scope re-raises that).
+        let (inserted, removed) = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut seen = 0;
+                        while seen < PAGES {
+                            let upto = published.load(Ordering::Acquire);
+                            for page in seen..upto {
+                                assert!(q.contains(rel(page), page), "page {page} not seen");
+                                assert!(q.is_quarantined(rel(page), page));
+                            }
+                            // Racing the next insert: either answer is fine.
+                            std::hint::black_box(q.contains(rel(upto), upto));
+                            seen = upto;
+                            std::thread::yield_now();
+                        }
+                        caught_up.fetch_add(1, Ordering::Release);
+                        while !cleared.load(Ordering::Acquire) {
+                            // Racing the removals.
+                            std::hint::black_box(q.contains("fact", 0));
+                            std::thread::yield_now();
+                        }
+                        assert_eq!(q.len(), 0);
+                        assert!((0..PAGES).all(|page| !q.contains(rel(page), page)));
+                    })
+                })
+                .collect();
+            let inserted = (0..PAGES)
+                .filter(|&page| {
+                    let added = q.insert(rel(page), page);
+                    published.store(page + 1, Ordering::Release);
+                    added
+                })
+                .count();
+            while caught_up.load(Ordering::Acquire) < READERS
+                && !readers.iter().any(|r| r.is_finished())
+            {
+                std::thread::yield_now();
+            }
+            let removed = (0..PAGES).filter(|&page| q.remove(rel(page), page)).count();
+            cleared.store(true, Ordering::Release);
+            (inserted, removed)
+        });
+        assert_eq!((inserted, removed), (PAGES as usize, PAGES as usize));
+        assert!(q.is_empty());
+        assert!(q.entries().is_empty());
+        assert!(!q.contains("fact", 0));
     }
 }

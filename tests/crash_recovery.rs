@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cure::core::cube::CubeConfig;
@@ -21,8 +22,12 @@ use cure::core::{
 };
 use cure::storage::{Catalog, FaultInjector, FaultKind, IoPolicy};
 
+/// A directory no other call in this process uses: test threads share
+/// the pid, so the counter keeps parallel tests off each other's files.
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cure_crashrec_{}_{tag}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("cure_crashrec_{}_{n}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -118,7 +123,10 @@ fn reference() -> (BTreeMap<String, Vec<u8>>, u64, DurableReport) {
     let catalog = Catalog::open_with_policy(&dir, counter.clone() as Arc<dyn IoPolicy>).unwrap();
     let report = durable_build(&catalog, &schema, false).unwrap();
     assert!(report.report.partition.is_some(), "budget must force partitioning");
-    (snapshot(&dir), counter.writes(), report)
+    let image = snapshot(&dir);
+    drop(catalog);
+    let _ = std::fs::remove_dir_all(&dir);
+    (image, counter.writes(), report)
 }
 
 /// Set up a catalog with the fact stored fault-free, ready for a faulty
